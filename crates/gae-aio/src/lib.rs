@@ -1,11 +1,10 @@
-//! `gae-aio` — a dependency-free epoll reactor: the C10k front door
-//! for the GAE's XML-RPC services.
+//! `gae-aio` — a dependency-free epoll reactor: the front door for
+//! the GAE's XML-RPC services.
 //!
 //! The paper's interactive-analysis tension (§3) implies thousands of
-//! mostly-idle clients holding keep-alive connections; the blocking
-//! `gae_rpc::TcpRpcServer` spends a thread per connection and tops
-//! out in the low thousands. This crate holds every connection as a
-//! readiness state machine on one event loop instead:
+//! mostly-idle clients holding keep-alive connections. This crate
+//! holds every connection as a readiness state machine on one event
+//! loop, so a connection costs a slab slot rather than a thread:
 //!
 //! * [`sys`] — the `extern "C"` syscall bindings (std already links
 //!   libc on Linux; no external crates);
@@ -13,13 +12,12 @@
 //!   `poll(2)` backend behind the `poll-fallback` feature;
 //! * [`wake`] — eventfd (or pipe) wakeup for worker→reactor
 //!   completions;
-//! * [`reactor`] — [`ReactorRpcServer`], the drop-in twin of
-//!   `TcpRpcServer::start_gated`.
+//! * [`reactor`] — [`ReactorRpcServer`], the server, optionally gated.
 //!
-//! Framing ([`gae_rpc::http::FrameParser`], shared limits, typed
-//! 408/413) and dispatch ([`gae_rpc::door`], so gate admission, auth,
-//! observability and fault bytes are identical) both live in
-//! `gae-rpc`: the reactor adds scheduling, not semantics.
+//! Framing ([`gae_rpc::http::FrameParser`], typed 408/413) and
+//! dispatch ([`gae_rpc::door`]: gate admission, auth, observability,
+//! fault bytes) both live in `gae-rpc`: the reactor adds scheduling,
+//! not semantics. Server-level tests live in `tests/server.rs`.
 
 #![warn(missing_docs)]
 
@@ -35,130 +33,7 @@ pub use wake::Waker;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gae_rpc::service::{CallContext, MethodInfo, Rpc, Service};
-    use gae_rpc::{ServiceHost, TcpRpcClient};
-    use gae_types::{GaeError, GaeResult};
-    use gae_wire::Value;
-    use std::sync::Arc;
     use std::time::Duration;
-
-    struct Echo;
-    impl Service for Echo {
-        fn name(&self) -> &'static str {
-            "test"
-        }
-        fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-            match method {
-                "sum" => {
-                    let mut s = 0i64;
-                    for p in params {
-                        s += p.as_i64()?;
-                    }
-                    Ok(Value::Int64(s))
-                }
-                "fail" => Err(GaeError::ExecutionFailure("deliberate".into())),
-                other => Err(gae_rpc::service::unknown_method("test", other)),
-            }
-        }
-        fn methods(&self) -> Vec<MethodInfo> {
-            vec![]
-        }
-    }
-
-    fn server() -> ReactorRpcServer {
-        let host = ServiceHost::open();
-        host.register(Arc::new(Echo));
-        ReactorRpcServer::start(host, 4).unwrap()
-    }
-
-    #[test]
-    fn reactor_roundtrip() {
-        let server = server();
-        let mut client = TcpRpcClient::connect(server.addr());
-        let v = client
-            .call("test.sum", vec![Value::Int(2), Value::Int(40)])
-            .unwrap();
-        assert_eq!(v, Value::Int64(42));
-        assert_eq!(
-            client.call("system.ping", vec![]).unwrap(),
-            Value::from("pong")
-        );
-        assert!(server.requests_served() >= 2);
-        server.stop();
-    }
-
-    #[test]
-    fn reactor_faults_propagate() {
-        let server = server();
-        let mut client = TcpRpcClient::connect(server.addr());
-        assert!(matches!(
-            client.call("test.fail", vec![]),
-            Err(GaeError::ExecutionFailure(_))
-        ));
-        server.stop();
-    }
-
-    #[test]
-    fn reactor_keep_alive_many_requests_one_connection() {
-        let server = server();
-        let mut client = TcpRpcClient::connect(server.addr());
-        for i in 0..100 {
-            let v = client
-                .call("test.sum", vec![Value::Int(i), Value::Int(1)])
-                .unwrap();
-            assert_eq!(v, Value::Int64(i64::from(i) + 1));
-        }
-        assert_eq!(client.reconnects(), 1);
-        server.stop();
-    }
-
-    #[test]
-    fn reactor_concurrent_clients() {
-        let server = server();
-        let addr = server.addr();
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            handles.push(std::thread::spawn(move || {
-                let mut client = TcpRpcClient::connect(addr);
-                for i in 0..20 {
-                    let v = client
-                        .call("test.sum", vec![Value::Int(t), Value::Int(i)])
-                        .unwrap();
-                    assert_eq!(v, Value::Int64(i64::from(t) + i64::from(i)));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(server.requests_served() >= 160);
-        server.stop();
-    }
-
-    #[test]
-    fn reactor_holds_many_idle_connections() {
-        let server = server();
-        let addr = server.addr();
-        // 300 idle keep-alive connections: far past what per-conn
-        // threads would tolerate in a unit test, trivial for a slab.
-        let idle: Vec<std::net::TcpStream> = (0..300)
-            .map(|_| std::net::TcpStream::connect(addr).unwrap())
-            .collect();
-        // Give the reactor a few ticks to accept them all.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while server.open_connections() < 300 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(server.open_connections(), 300);
-        // And they do not starve a live client.
-        let mut client = TcpRpcClient::connect(addr);
-        assert_eq!(
-            client.call("system.ping", vec![]).unwrap(),
-            Value::from("pong")
-        );
-        drop(idle);
-        server.stop();
-    }
 
     #[test]
     fn waker_wakes_and_drains() {

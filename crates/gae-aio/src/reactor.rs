@@ -1,14 +1,18 @@
 //! The reactor server: every connection's readiness state machine on
 //! one event loop.
 //!
-//! `ReactorRpcServer` is the C10k twin of `gae_rpc::TcpRpcServer`:
-//! same wire format, same [`gae_rpc::door`] dispatch (so gate
-//! admission, auth, observability and fault encoding are identical by
-//! construction), but connections cost a slab slot instead of a
-//! thread. One reactor thread owns the listener, a [`Poller`] and all
-//! connection state; XML-RPC work crosses into the door's worker pool
-//! and completions come back through a mutex-guarded vector plus a
-//! [`Waker`] kick.
+//! `ReactorRpcServer` is the GAE's XML-RPC front door. Connections
+//! cost a slab slot, not a thread. One reactor thread owns the
+//! listener, a [`Poller`] and all connection state; XML-RPC work
+//! crosses into the [`gae_rpc::door`]'s worker pool (gate admission,
+//! auth, observability and fault encoding live there) and completions
+//! come back through a mutex-guarded vector plus a [`Waker`] kick.
+//!
+//! When the process runs out of file descriptors, a queued connection
+//! cannot be accepted, and the level-triggered listener would stay
+//! readable forever. The reactor keeps one spare descriptor for that
+//! case: it frees the spare, accepts, answers a typed 503, closes,
+//! and re-arms the spare, so the backlog drains instead of spinning.
 //!
 //! Per-connection lifecycle:
 //!
@@ -20,6 +24,7 @@
 //! ```
 
 use crate::poller::{Event, Interest, Poller};
+use crate::sys;
 use crate::wake::Waker;
 use gae_gate::Gate;
 use gae_rpc::door::{Deliver, DoorBackend};
@@ -28,6 +33,7 @@ use gae_rpc::http::{FrameLimits, FrameParser, HttpRequest, HttpResponse};
 use gae_types::{GaeError, GaeResult};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::fs::File;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -43,7 +49,7 @@ const WAKER: u64 = 1;
 /// Connection slab slot `i` registers under token `i + CONN_BASE`.
 const CONN_BASE: u64 = 2;
 
-/// Reactor knobs, sharing [`FrameLimits`] with the blocking server.
+/// Reactor knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ReactorConfig {
     /// Framing caps (typed 413 beyond them).
@@ -128,8 +134,8 @@ struct Conn {
     dying: bool,
 }
 
-/// An epoll-reactor XML-RPC server: `TcpRpcServer`'s drop-in twin
-/// for C10k-scale keep-alive fleets.
+/// An epoll-reactor XML-RPC server, scaling from one client to
+/// C10k-scale keep-alive fleets.
 pub struct ReactorRpcServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -151,8 +157,9 @@ impl ReactorRpcServer {
         Self::bind_tuned(host, workers, addr, None, ReactorConfig::default())
     }
 
-    /// Binds `127.0.0.1:0` with `gate` fronting the request path —
-    /// the reactor twin of `TcpRpcServer::start_gated`.
+    /// Binds `127.0.0.1:0` with `gate` fronting the request path:
+    /// every POST is classified and rate-limited per principal, then
+    /// queued through the gate's bounded priority admission queue.
     pub fn start_gated(
         host: Arc<ServiceHost>,
         workers: usize,
@@ -210,6 +217,7 @@ impl ReactorRpcServer {
                         slots: Vec::new(),
                         free: Vec::new(),
                         gen_watermarks: Vec::new(),
+                        reserve_fd: spare_fd(),
                         shutdown,
                         served,
                         open,
@@ -243,8 +251,7 @@ impl ReactorRpcServer {
         self.requests_served.load(Ordering::Relaxed)
     }
 
-    /// Currently-open connections (the number the thread-per-conn
-    /// design cannot reach).
+    /// Currently-open connections.
     pub fn open_connections(&self) -> u64 {
         self.open_connections.load(Ordering::Relaxed)
     }
@@ -275,6 +282,11 @@ impl Drop for ReactorRpcServer {
     }
 }
 
+/// A descriptor held only to be given back when the table is full.
+fn spare_fd() -> Option<File> {
+    File::open("/dev/null").ok()
+}
+
 /// The event loop's owned state (lives on the reactor thread).
 struct Reactor {
     host: Arc<ServiceHost>,
@@ -288,6 +300,9 @@ struct Reactor {
     free: Vec<usize>,
     /// Per-slot generation floor for the next tenant (see `close`).
     gen_watermarks: Vec<u64>,
+    /// The spare descriptor given up to shed a connection when the fd
+    /// table is full (see [`Reactor::shed_one`]).
+    reserve_fd: Option<File>,
     shutdown: Arc<AtomicBool>,
     served: Arc<AtomicU64>,
     open: Arc<AtomicU64>,
@@ -337,11 +352,45 @@ impl Reactor {
             match self.listener.accept() {
                 Ok((stream, peer)) => self.install(stream, peer),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                // Transient accept failures (ECONNABORTED, EMFILE...):
-                // drop that connection attempt, keep serving.
+                Err(e) if matches!(e.raw_os_error(), Some(sys::EMFILE | sys::ENFILE)) => {
+                    if !self.shed_one() {
+                        break;
+                    }
+                }
+                // Transient accept failures (ECONNABORTED...): drop
+                // that connection attempt, keep serving.
                 Err(_) => break,
             }
         }
+    }
+
+    /// Out of descriptors: spend the spare one to accept the oldest
+    /// queued connection, answer it a typed 503 and close it. Returns
+    /// whether a connection was shed (the caller keeps draining).
+    fn shed_one(&mut self) -> bool {
+        if self.reserve_fd.take().is_none() {
+            // An earlier re-arm failed: try again; the still-readable
+            // listener brings us back here.
+            self.reserve_fd = spare_fd();
+            return false;
+        }
+        let shed = match self.listener.accept() {
+            Ok((mut stream, _)) => {
+                // A fresh socket's send buffer takes the short goodbye
+                // whole; never block the loop on it.
+                let _ = stream.set_nonblocking(true);
+                let goodbye = HttpResponse::error(
+                    503,
+                    "Service Unavailable",
+                    "server out of file descriptors",
+                );
+                let _ = stream.write_all(&goodbye.to_bytes());
+                true
+            }
+            Err(_) => false,
+        };
+        self.reserve_fd = spare_fd();
+        shed
     }
 
     fn install(&mut self, stream: TcpStream, peer: SocketAddr) {
@@ -529,7 +578,7 @@ impl Reactor {
             .submit(&self.host, request, &peer, deliver)
             .is_err()
         {
-            // Shutting down: typed 503 and close, same as blocking.
+            // Shutting down: typed 503 and close.
             self.reject(slot, 503, "Service Unavailable", "shutting down");
         }
         Ok(())

@@ -57,6 +57,10 @@ pub const O_NONBLOCK: i32 = 0o4000;
 pub const SOL_SOCKET: i32 = 1;
 pub const SO_SNDBUF: i32 = 7;
 
+/// `errno`: the process (`EMFILE`) or system (`ENFILE`) fd table is full.
+pub const ENFILE: i32 = 23;
+pub const EMFILE: i32 = 24;
+
 extern "C" {
     pub fn epoll_create1(flags: i32) -> i32;
     pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;

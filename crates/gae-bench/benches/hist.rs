@@ -24,7 +24,7 @@ fn record(t: u64) -> HistRecord {
         start_us: t * 1_000 + 40,
         finish_us: t * 1_000 + 900,
         runtime_us: 500 + (t % 1_000) * 37,
-        success: t % 10 != 0,
+        success: !t.is_multiple_of(10),
         account: "cms".into(),
         login: LOGINS[(t % 4) as usize].into(),
         executable: "reco".into(),
@@ -37,7 +37,7 @@ fn record(t: u64) -> HistRecord {
 fn store_with(n: u64) -> HistStore {
     let store = HistStore::new(HistConfig::default());
     for t in 0..n {
-        store.apply(&HistOp::Append(record(t)));
+        store.apply(&HistOp::Append(Box::new(record(t))));
     }
     store
 }
@@ -47,7 +47,7 @@ fn bench_append(c: &mut Criterion) {
     let mut t = 0u64;
     c.bench_function("hist_append", |b| {
         b.iter(|| {
-            store.apply(&HistOp::Append(black_box(record(t))));
+            store.apply(&HistOp::Append(Box::new(black_box(record(t)))));
             t += 1;
         })
     });

@@ -25,19 +25,19 @@ fn main() {
     };
     println!("== Figure 6: Job Monitoring Service response times ==");
     println!(
-        "transport: XML-RPC over HTTP over loopback TCP; {} workers; {} requests/client; \
-         emulated service time {} ms\n",
+        "transport: XML-RPC over HTTP over loopback TCP, gated reactor front door; \
+         {} workers; {} requests/client; emulated service time {} ms\n",
         config.workers, config.requests_per_client, config.service_delay_ms
     );
     println!(
-        "{:>16}  {:>22}  {:>18}",
-        "parallel clients", "avg response time (ms)", "throughput (req/s)"
+        "{:>16}  {:>22}  {:>18}  {:>4}",
+        "parallel clients", "avg response time (ms)", "throughput (req/s)", "shed"
     );
     let rows = figure6(&PAPER_CLIENT_COUNTS, config);
     for row in &rows {
         println!(
-            "{:>16}  {:>22.2}  {:>18.0}",
-            row.clients, row.mean_response_ms, row.throughput_rps
+            "{:>16}  {:>22.2}  {:>18.0}  {:>4}",
+            row.clients, row.mean_response_ms, row.throughput_rps, row.shed
         );
     }
     println!(

@@ -9,8 +9,9 @@
 //! measures both halves — admitted latency and shed rate — per client
 //! count.
 
+use gae_aio::ReactorRpcServer;
 use gae_gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
-use gae_rpc::{CallContext, MethodInfo, Rpc, Service, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae_rpc::{CallContext, MethodInfo, Rpc, Service, ServiceHost, TcpRpcClient};
 use gae_types::{GaeError, GaeResult, SimDuration};
 use gae_wire::Value;
 use std::sync::Arc;
@@ -98,6 +99,21 @@ pub(crate) fn delay_service(delay: Duration) -> Arc<dyn Service> {
     Arc::new(DelayRpc { delay })
 }
 
+/// A wall-clock gate whose bounded admission queue (`capacity` slots,
+/// `deadline_ms` patience) is its only shedding mechanism: the
+/// per-principal token buckets are effectively unbounded. Shared by
+/// this sweep, the C10k sweep and Figure 6.
+pub(crate) fn queue_gate(capacity: usize, deadline_ms: u64) -> Arc<Gate> {
+    Gate::new(
+        GateConfig {
+            bucket: TokenBucketConfig::new(1e9, 1e9),
+            queue: QueueConfig::new(capacity, SimDuration::from_millis(deadline_ms)),
+            ..GateConfig::default()
+        },
+        Arc::new(WallClock::new()),
+    )
+}
+
 /// Runs the gated overload experiment for each client count.
 pub fn gate_sweep(client_counts: &[usize], config: GateSweepConfig) -> Vec<GateSweepRow> {
     let mut rows = Vec::new();
@@ -107,21 +123,9 @@ pub fn gate_sweep(client_counts: &[usize], config: GateSweepConfig) -> Vec<GateS
         host.register(Arc::new(DelayRpc {
             delay: Duration::from_millis(config.service_delay_ms),
         }));
-        let gate = Gate::new(
-            GateConfig {
-                // Per-principal rate limiting is not under test; the
-                // bounded queue is the only shedding mechanism.
-                bucket: TokenBucketConfig::new(1e9, 1e9),
-                queue: QueueConfig::new(
-                    config.queue_capacity,
-                    SimDuration::from_millis(config.queue_deadline_ms),
-                ),
-                ..GateConfig::default()
-            },
-            Arc::new(WallClock::new()),
-        );
-        let server =
-            TcpRpcServer::start_gated(host, config.workers, gate.clone()).expect("bind loopback");
+        let gate = queue_gate(config.queue_capacity, config.queue_deadline_ms);
+        let server = ReactorRpcServer::start_gated(host, config.workers, gate.clone())
+            .expect("bind loopback");
         let addr = server.addr();
 
         let requests = config.requests_per_client;

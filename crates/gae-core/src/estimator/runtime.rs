@@ -415,7 +415,7 @@ mod tests {
         let store = HistStore::new(HistConfig { segment_rows: 2 });
         for (i, (login, rt)) in entries.iter().enumerate() {
             legacy.observe(meta(login, "q", 1), SimDuration::from_secs(*rt));
-            store.apply(&HistOp::Append(HistRecord {
+            store.apply(&HistOp::Append(Box::new(HistRecord {
                 task: i as u64,
                 site: 1,
                 nodes: 1,
@@ -430,7 +430,7 @@ mod tests {
                 queue: "q".into(),
                 partition: "p".into(),
                 job_type: "batch".into(),
-            }));
+            })));
         }
         let est = RuntimeEstimator::new(legacy);
         let site = SiteId::new(1);

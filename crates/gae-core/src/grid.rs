@@ -150,9 +150,6 @@ pub struct Grid {
     persist_config: Option<PersistenceConfig>,
     /// Admission-control policy for service stacks over this grid.
     gate_config: Option<GateConfig>,
-    /// Which RPC server implementation should front a service stack
-    /// over this grid.
-    rpc_transport: gae_rpc::RpcTransport,
 }
 
 /// Builder for [`Grid`].
@@ -164,7 +161,6 @@ pub struct GridBuilder {
     persist: Option<PersistenceConfig>,
     gate: Option<GateConfig>,
     xfer: Option<XferConfig>,
-    rpc_transport: gae_rpc::RpcTransport,
 }
 
 impl GridBuilder {
@@ -178,7 +174,6 @@ impl GridBuilder {
             persist: None,
             gate: None,
             xfer: None,
-            rpc_transport: gae_rpc::RpcTransport::default(),
         }
     }
 
@@ -202,14 +197,6 @@ impl GridBuilder {
     /// Selects the advancement driver (sequential by default).
     pub fn driver(mut self, driver: DriverMode) -> Self {
         self.driver = driver;
-        self
-    }
-
-    /// Selects which RPC server fronts service stacks over this grid:
-    /// the blocking thread-per-connection server (default) or the
-    /// `gae-aio` epoll reactor for C10k-scale keep-alive fleets.
-    pub fn rpc_transport(mut self, transport: gae_rpc::RpcTransport) -> Self {
-        self.rpc_transport = transport;
         self
     }
 
@@ -325,7 +312,6 @@ impl GridBuilder {
             driver: self.driver,
             persist_config: self.persist,
             gate_config: self.gate,
-            rpc_transport: self.rpc_transport,
         });
         grid.publish_metrics();
         grid
@@ -581,11 +567,6 @@ impl Grid {
     /// The admission-control policy the builder attached, if any.
     pub fn gate_config(&self) -> Option<GateConfig> {
         self.gate_config
-    }
-
-    /// Which RPC server implementation the builder selected.
-    pub fn rpc_transport(&self) -> gae_rpc::RpcTransport {
-        self.rpc_transport
     }
 
     /// The sites partitioned into at most `threads` contiguous chunks

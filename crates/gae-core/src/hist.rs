@@ -68,7 +68,7 @@ impl HistFunnel {
 
     /// Appends one terminal task outcome (the jobmon funnel's feed).
     pub fn ingest(&self, record: HistRecord) {
-        self.log_apply(HistOp::Append(record));
+        self.log_apply(HistOp::Append(Box::new(record)));
     }
 
     /// Applies a journaled op without re-logging — the WAL-replay and

@@ -520,7 +520,7 @@ pub(crate) fn hist_to_record(op: &HistOp) -> Value {
 
 pub(crate) fn hist_from_record(v: &Value) -> GaeResult<HistOp> {
     Ok(match v.member("op")?.as_str()? {
-        "append" => HistOp::Append(HistRecord {
+        "append" => HistOp::Append(Box::new(HistRecord {
             task: v.member("task")?.as_u64()?,
             site: v.member("site")?.as_u64()?,
             nodes: v.member("nodes")?.as_u64()?,
@@ -535,7 +535,7 @@ pub(crate) fn hist_from_record(v: &Value) -> GaeResult<HistOp> {
             queue: v.member("queue")?.as_str()?.to_string(),
             partition: v.member("partition")?.as_str()?.to_string(),
             job_type: v.member("job_type")?.as_str()?.to_string(),
-        }),
+        })),
         "seal" => HistOp::Seal,
         "compact" => HistOp::Compact,
         other => return Err(GaeError::Parse(format!("unknown hist op {other:?}"))),
@@ -980,7 +980,7 @@ mod tests {
 
     #[test]
     fn hist_record_roundtrip_all_ops() {
-        let append = HistOp::Append(HistRecord {
+        let append = HistOp::Append(Box::new(HistRecord {
             task: 9,
             site: 2,
             nodes: 4,
@@ -995,7 +995,7 @@ mod tests {
             queue: "prod".into(),
             partition: "batch".into(),
             job_type: "analysis".into(),
-        });
+        }));
         for op in [append, HistOp::Seal, HistOp::Compact] {
             let decoded = hist_from_record(&hist_to_record(&op)).unwrap();
             assert_eq!(decoded, op);

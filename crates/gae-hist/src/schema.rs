@@ -145,8 +145,9 @@ impl HistRecord {
 /// rebuild identical segments.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HistOp {
-    /// Append one row to the tail (auto-seals a full tail).
-    Append(HistRecord),
+    /// Append one row to the tail (auto-seals a full tail). Boxed:
+    /// a record is many times the size of the other variants.
+    Append(Box<HistRecord>),
     /// Seal a non-empty tail early (grid-clock cadence).
     Seal,
     /// Merge adjacent undersized sealed segments back to

@@ -377,8 +377,8 @@ impl HistStore {
         }
     }
 
-    /// The canonical binary encoding of the whole store (dictionaries
-    /// + sealed segments + tail). This is what rides in gae-durable
+    /// The canonical binary encoding of the whole store: dictionaries,
+    /// sealed segments and tail. This is what rides in gae-durable
     /// snapshots.
     pub fn encode(&self) -> Vec<u8> {
         codec::encode(&self.inner.read())
@@ -455,10 +455,10 @@ mod tests {
     #[test]
     fn append_assigns_site_seq_on_success_only() {
         let s = small_store(100);
-        s.apply(&HistOp::Append(rec(1, 1, "a", 10, true)));
-        s.apply(&HistOp::Append(rec(2, 1, "a", 20, false)));
-        s.apply(&HistOp::Append(rec(3, 1, "a", 30, true)));
-        s.apply(&HistOp::Append(rec(4, 2, "a", 40, true)));
+        s.apply(&HistOp::Append(Box::new(rec(1, 1, "a", 10, true))));
+        s.apply(&HistOp::Append(Box::new(rec(2, 1, "a", 20, false))));
+        s.apply(&HistOp::Append(Box::new(rec(3, 1, "a", 30, true))));
+        s.apply(&HistOp::Append(Box::new(rec(4, 2, "a", 40, true))));
         let pts = s
             .runtime_points(&[
                 ColumnPredicate::eq_num("site", 1),
@@ -482,7 +482,7 @@ mod tests {
     fn tail_auto_seals_and_zone_maps_prune() {
         let s = small_store(4);
         for t in 0..8 {
-            s.apply(&HistOp::Append(rec(t, t / 4, "a", 5, true)));
+            s.apply(&HistOp::Append(Box::new(rec(t, t / 4, "a", 5, true))));
         }
         let st = s.stats();
         assert_eq!(st.sealed_segments, 2);
@@ -515,11 +515,11 @@ mod tests {
         };
         let mut ops = Vec::new();
         for t in 0..3 {
-            ops.push(HistOp::Append(rec(t, 1, "a", t + 1, true)));
+            ops.push(HistOp::Append(Box::new(rec(t, 1, "a", t + 1, true))));
         }
         ops.push(HistOp::Seal);
         for t in 3..5 {
-            ops.push(HistOp::Append(rec(t, 1, "b", t + 1, true)));
+            ops.push(HistOp::Append(Box::new(rec(t, 1, "b", t + 1, true))));
         }
         ops.push(HistOp::Seal);
         ops.push(HistOp::Compact);
@@ -548,7 +548,7 @@ mod tests {
         let uncompacted = small_store(4);
         let compacted = small_store(4);
         for t in 0..6 {
-            let op = HistOp::Append(rec(t, t % 2, "a", 7, true));
+            let op = HistOp::Append(Box::new(rec(t, t % 2, "a", 7, true)));
             uncompacted.apply(&op);
             compacted.apply(&op);
             if t % 2 == 1 {
@@ -570,13 +570,13 @@ mod tests {
     fn codec_roundtrip_preserves_digests_and_counters() {
         let s = small_store(3);
         for t in 0..8 {
-            s.apply(&HistOp::Append(rec(
+            s.apply(&HistOp::Append(Box::new(rec(
                 t,
                 t % 3,
                 &format!("u{}", t % 2),
                 t,
                 t % 4 != 0,
-            )));
+            ))));
         }
         s.apply(&HistOp::Seal);
         let bytes = s.encode();
@@ -588,7 +588,7 @@ mod tests {
         assert_eq!(back.rows(), s.rows());
         // Site counters are recomputed, so appends continue the same
         // site_seq sequence on both stores.
-        let cont = HistOp::Append(rec(99, 1, "u1", 9, true));
+        let cont = HistOp::Append(Box::new(rec(99, 1, "u1", 9, true)));
         s.apply(&cont);
         back.apply(&cont);
         assert_eq!(back.digest(), s.digest());
@@ -604,7 +604,7 @@ mod tests {
         for t in 0..23 {
             let r = rec(t, t % 3, &format!("u{}", t % 4), t * 3 % 17, t % 5 != 0);
             all.push(r.clone());
-            s.apply(&HistOp::Append(r));
+            s.apply(&HistOp::Append(Box::new(r)));
         }
         s.apply(&HistOp::Seal);
         s.apply(&HistOp::Compact);

@@ -1,21 +1,16 @@
-//! The RPC door: the one request-dispatch path every transport
-//! shares.
+//! The RPC door: the request-dispatch path behind the `gae-aio`
+//! reactor.
 //!
-//! Both front ends — the blocking thread-per-connection server in
-//! [`crate::tcp`] and the `gae-aio` epoll reactor — frame an
-//! [`HttpRequest`] and then hand it here. The door owns everything
-//! that must behave *identically* across transports: principal
-//! attribution, gate admission (classify → bucket → bounded priority
-//! queue), disposition observation, XML-RPC parse/auth/dispatch, and
-//! fault encoding. The transport only supplies a `deliver` callback
-//! that ships the response body back to its connection; the blocking
-//! server backs it with a channel `recv`, the reactor with a
-//! per-connection completion slot + eventfd wakeup.
+//! The reactor frames an [`HttpRequest`] and hands it here. The door
+//! owns everything above framing: principal attribution, gate
+//! admission (classify → bucket → bounded priority queue),
+//! disposition observation, XML-RPC parse/auth/dispatch, and fault
+//! encoding. The transport only supplies a `deliver` callback that
+//! ships the response body back to its connection (the reactor backs
+//! it with a per-connection completion slot + eventfd wakeup).
 //!
-//! Because the door is shared, "blocking ≡ reactor" equivalence
-//! (identical response bytes and gate dispositions for the same
-//! admitted request sequence) holds by construction — and is still
-//! proptest-enforced end to end in `tests/reactor_transport.rs`.
+//! `tests/reactor_transport.rs` pins the door's response bytes to the
+//! golden file `tests/golden/front_door.txt`.
 
 use crate::gatedpool::{Disposition, GatedPool};
 use crate::host::ServiceHost;

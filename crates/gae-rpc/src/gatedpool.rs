@@ -4,8 +4,8 @@
 //! hand-off: jobs enter through an [`AdmissionQueue`] that is bounded,
 //! priority-aware and deadline-expiring, and every job — served,
 //! expired or displaced — is *always invoked exactly once* with its
-//! [`Disposition`], so the connection thread blocked on the response
-//! channel always receives a body (a result or a typed overload
+//! [`Disposition`], so the connection waiting on the door's `deliver`
+//! callback always receives a body (a result or a typed overload
 //! fault), never a hang.
 
 use gae_gate::{AdmissionQueue, Gate, GateClass, Popped, RejectReason, Rejected};

@@ -15,15 +15,15 @@
 //! * [`host`] — the [`ServiceHost`]: a registry of
 //!   services with full-method dispatch (`"jobmon.job_status"`), the
 //!   built-in `system.*` introspection service, and fault mapping;
-//! * [`threadpool`] — a crossbeam-channel worker pool used by the TCP
-//!   server (and reusable by anything needing bounded parallelism);
+//! * [`threadpool`] and [`gatedpool`] — the bounded worker pools the
+//!   door runs requests on (plain, or behind the gate's admission
+//!   queue);
 //! * [`http`] — a minimal HTTP/1.1 subset (POST + Content-Length +
-//!   keep-alive), the framing XML-RPC runs over;
-//! * [`door`] — the transport-independent dispatch path (principal
-//!   attribution, gate admission, fault encoding) shared by the
-//!   blocking server and the `gae-aio` reactor;
-//! * [`tcp`] — the real-socket server and client used by the Figure 6
-//!   experiment;
+//!   keep-alive) and its incremental framer, the framing XML-RPC runs
+//!   over;
+//! * [`door`] — the request-dispatch path behind the `gae-aio` reactor
+//!   (principal attribution, gate admission, fault encoding);
+//! * [`tcp`] — the real-socket client used by the Figure 6 experiment;
 //! * [`inproc`] — a zero-copy in-process transport with the same
 //!   client interface, used by the simulator and unit tests;
 //! * [`discovery`] — the peer-to-peer service lookup (§3's "dynamic
@@ -48,8 +48,8 @@ pub use discovery::{Endpoint, LookupService};
 pub use door::{fault_body, process_request, Deliver, DoorBackend, DoorClosed};
 pub use gatedpool::{Disposition, GatedJob, GatedPool};
 pub use host::ServiceHost;
-pub use http::{FrameLimits, FrameParser, ReadDeadline};
+pub use http::{FrameLimits, FrameParser};
 pub use inproc::InProcClient;
 pub use service::{CallContext, MethodInfo, Rpc, Service};
-pub use tcp::{RpcTransport, ServerTuning, TcpRpcClient, TcpRpcServer};
+pub use tcp::TcpRpcClient;
 pub use threadpool::{ExecuteError, ThreadPool};

@@ -1,20 +1,21 @@
 //! The `gae-aio` reactor front door under hostile and awkward
 //! clients: mid-request disconnects, partial writes through a tiny
 //! kernel send buffer, pipelined requests — and the contract that
-//! matters most, blocking-vs-reactor response equivalence (both
-//! transports share `gae_rpc::door` dispatch and `gae_rpc::http`
-//! framing, so the same bytes in must produce the same bytes out).
+//! matters most, byte-identical answers to the thread-per-connection
+//! server the reactor replaced. `tests/golden/front_door.txt` holds
+//! that server's exact response bytes for a fixed corpus (every probe
+//! kind, plus a gated-refusal sequence); the reactor must reproduce
+//! them byte for byte.
 
 use gae::aio::{ReactorConfig, ReactorRpcServer};
-use gae::gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
+use gae::gate::{Gate, GateConfig, ManualClock, QueueConfig, TokenBucketConfig};
 use gae::rpc::http::{FrameLimits, FrameParser, HttpRequest, HttpResponse};
 use gae::rpc::service::{CallContext, MethodInfo, Service};
-use gae::rpc::{Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{Rpc, ServiceHost, TcpRpcClient};
 use gae::types::{GaeError, GaeResult, SimDuration};
 use gae::wire::{write_call, MethodCall, Value};
-use proptest::prelude::*;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -205,86 +206,35 @@ fn pipelined_requests_are_answered_in_order() {
     server.stop();
 }
 
-#[test]
-fn gate_refusals_agree_across_transports() {
-    // Wedge each server's gate the same way — one worker occupied by
-    // a slow call, one request parked in a capacity-1 queue — then a
-    // third arrival must be refused at the door with the same typed
-    // Overloaded fault on both transports. (The fault's retry_after
-    // is clock-derived, so the comparison is kind + class, while the
-    // ungated proptest below covers byte-level identity.)
-    let tiny_gate = || {
-        Gate::new(
-            GateConfig {
-                bucket: TokenBucketConfig::new(1e9, 1e9),
-                queue: QueueConfig::new(1, SimDuration::from_secs(5)),
-                ..GateConfig::default()
-            },
-            Arc::new(WallClock::new()),
-        )
-    };
-    let blocking = TcpRpcServer::start_gated(echo_host(), 1, tiny_gate()).unwrap();
-    let reactor = ReactorRpcServer::start_gated(echo_host(), 1, tiny_gate()).unwrap();
-    let refusal = |addr: SocketAddr| {
-        // A: occupies the only worker for a second.
-        let mut busy = TcpStream::connect(addr).unwrap();
-        busy.write_all(&raw_call("test.sleep", vec![Value::Int64(1_000)]))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(250));
-        // B: sits in the queue (capacity 1).
-        let mut parked = TcpStream::connect(addr).unwrap();
-        parked
-            .write_all(&raw_call("test.sum", vec![Value::Int(1)]))
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // C: queue full — refused at arrival.
-        let mut refused = TcpStream::connect(addr).unwrap();
-        refused
-            .write_all(&raw_call("test.sum", vec![Value::Int(2)]))
-            .unwrap();
-        let response = read_one_response(&refused);
-        drop((busy, parked));
-        response
-    };
-    let classes: Vec<String> = [
-        ("blocking", refusal(blocking.addr())),
-        ("reactor", refusal(reactor.addr())),
-    ]
-    .into_iter()
-    .map(|(name, response)| {
-        assert_eq!(
-            response.status, 200,
-            "{name}: XML-RPC faults travel as 200 + fault body"
-        );
-        let err = gae::wire::parse_response(&response.body)
-            .unwrap()
-            .into_result()
-            .unwrap_err();
-        match err {
-            GaeError::Overloaded { shed_class, .. } => shed_class,
-            other => panic!("{name}: expected Overloaded, got {other:?}"),
-        }
-    })
-    .collect();
-    assert_eq!(classes[0], classes[1], "transports disagree on shed class");
-    blocking.stop();
-    reactor.stop();
-}
-
-/// One request's worth of raw bytes for the equivalence proptest.
+/// One request's worth of raw bytes in the golden corpus.
 #[derive(Clone, Debug)]
 enum Probe {
     /// A well-formed call (service result or service fault).
-    Call { method: String, args: Vec<i64> },
-    /// A non-POST method: typed 405 from both transports.
+    Call {
+        method: &'static str,
+        args: Vec<i64>,
+    },
+    /// A non-POST method: typed 405.
     BadVerb,
-    /// A declared body far past the cap: typed 413 from both.
+    /// A declared body far past the cap: typed 413.
     Oversized,
-    /// A line of garbage: typed 400 from both.
+    /// A line of garbage: typed 400.
     Garbage,
 }
 
 impl Probe {
+    fn label(&self) -> String {
+        match self {
+            Probe::Call { method, args } => {
+                let args: Vec<String> = args.iter().map(i64::to_string).collect();
+                format!("call {method}({})", args.join(", "))
+            }
+            Probe::BadVerb => "bad verb".to_string(),
+            Probe::Oversized => "oversized".to_string(),
+            Probe::Garbage => "garbage".to_string(),
+        }
+    }
+
     fn to_bytes(&self) -> Vec<u8> {
         match self {
             Probe::Call { method, args } => {
@@ -299,56 +249,131 @@ impl Probe {
             Probe::Garbage => b"NOT EVEN HTTP\r\n\r\n".to_vec(),
         }
     }
-}
 
-fn arb_probe() -> impl Strategy<Value = Probe> {
-    (
-        0u8..9,
-        prop_oneof![
-            Just("test.sum".to_string()),
-            Just("test.fail".to_string()),
-            Just("no.such".to_string()),
-        ],
-        proptest::collection::vec(-1000i64..1000, 0..4),
-    )
-        .prop_map(|(selector, method, args)| match selector {
-            0 => Probe::BadVerb,
-            1 => Probe::Oversized,
-            2 => Probe::Garbage,
-            _ => Probe::Call { method, args },
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The reactor is a scheduling change, not a semantic one: for
-    /// any probe — valid calls, faults, bad verbs, oversized frames,
-    /// garbage — both front doors return the identical response
-    /// frame (status, reason, headers, body).
-    #[test]
-    fn blocking_and_reactor_answer_identically(probes in proptest::collection::vec(arb_probe(), 1..5)) {
-        let host = echo_host();
-        let blocking = TcpRpcServer::start(host.clone(), 2).unwrap();
-        let reactor = ReactorRpcServer::start(host, 2).unwrap();
-        for probe in &probes {
-            let bytes = probe.to_bytes();
-            let fetch = |addr: SocketAddr| {
-                let mut s = TcpStream::connect(addr).unwrap();
-                s.write_all(&bytes).unwrap();
-                read_one_response(&s)
-            };
-            let a = fetch(blocking.addr());
-            let b = fetch(reactor.addr());
-            prop_assert_eq!(&a, &b, "transports disagree on {:?}", probe);
-            match probe {
-                Probe::Call { .. } => prop_assert_eq!(a.status, 200),
-                Probe::BadVerb => prop_assert_eq!(a.status, 405),
-                Probe::Oversized => prop_assert_eq!(a.status, 413),
-                Probe::Garbage => prop_assert_eq!(a.status, 400),
-            }
+    fn status(&self) -> u16 {
+        match self {
+            Probe::Call { .. } => 200,
+            Probe::BadVerb => 405,
+            Probe::Oversized => 413,
+            Probe::Garbage => 400,
         }
-        blocking.stop();
-        reactor.stop();
     }
+}
+
+/// The fixed corpus, one fresh connection per probe.
+fn corpus() -> Vec<Probe> {
+    let call = |method, args: &[i64]| Probe::Call {
+        method,
+        args: args.to_vec(),
+    };
+    vec![
+        call("test.sum", &[2, 40]),
+        call("test.sum", &[]),
+        call("test.sum", &[-1000, 999, 7]),
+        call("test.fail", &[]),
+        call("test.fail", &[3]),
+        call("no.such", &[1, 2]),
+        Probe::BadVerb,
+        Probe::Oversized,
+        Probe::Garbage,
+    ]
+}
+
+/// The golden file's records: `[label]`, `> request`, `< response`,
+/// each message `escape_ascii`-encoded; `#` lines are commentary.
+fn golden() -> Vec<&'static str> {
+    include_str!("golden/front_door.txt")
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .collect()
+}
+
+fn record(out: &mut Vec<String>, label: &str, request: &[u8], response: &HttpResponse) {
+    out.push(format!("[{label}]"));
+    out.push(format!("> {}", request.escape_ascii()));
+    out.push(format!("< {}", response.to_bytes().escape_ascii()));
+}
+
+fn assert_matches_golden(rendered: &[String], golden: &[&str]) {
+    assert_eq!(rendered.len(), golden.len(), "record count differs");
+    for (got, want) in rendered.iter().zip(golden) {
+        assert_eq!(got, want, "reactor bytes differ from the recorded server");
+    }
+}
+
+/// A 1-worker gate with a capacity-1 queue on a frozen clock, so the
+/// refusal's retry-after (the parked entry's 5 s deadline) is exact.
+fn tiny_gate() -> Arc<Gate> {
+    Gate::new(
+        GateConfig {
+            bucket: TokenBucketConfig::new(1e9, 1e9),
+            queue: QueueConfig::new(1, SimDuration::from_secs(5)),
+            ..GateConfig::default()
+        },
+        Arc::new(ManualClock::new()),
+    )
+}
+
+#[test]
+fn gate_refusals_agree_across_transports() {
+    // Wedge the gate — one worker occupied by a slow call, one request
+    // parked in the capacity-1 queue — then a third arrival must be
+    // refused at the door with the recorded typed Overloaded fault;
+    // the parked and busy calls then complete with their results.
+    let server = ReactorRpcServer::start_gated(echo_host(), 1, tiny_gate()).unwrap();
+    let addr = server.addr();
+    let busy_req = raw_call("test.sleep", vec![Value::Int64(600)]);
+    let parked_req = raw_call("test.sum", vec![Value::Int(1)]);
+    let refused_req = raw_call("test.sum", vec![Value::Int(2)]);
+    let mut busy = TcpStream::connect(addr).unwrap();
+    busy.write_all(&busy_req).unwrap();
+    std::thread::sleep(Duration::from_millis(250));
+    let mut parked = TcpStream::connect(addr).unwrap();
+    parked.write_all(&parked_req).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let mut refused = TcpStream::connect(addr).unwrap();
+    refused.write_all(&refused_req).unwrap();
+    let mut rendered = Vec::new();
+    let response = read_one_response(&refused);
+    let err = gae::wire::parse_response(&response.body)
+        .unwrap()
+        .into_result()
+        .unwrap_err();
+    assert!(
+        matches!(&err, GaeError::Overloaded { .. }),
+        "expected Overloaded, got {err:?}"
+    );
+    record(&mut rendered, "gated refused", &refused_req, &response);
+    let response = read_one_response(&parked);
+    record(&mut rendered, "gated parked", &parked_req, &response);
+    let response = read_one_response(&busy);
+    record(&mut rendered, "gated busy", &busy_req, &response);
+    let golden = golden();
+    assert_matches_golden(&rendered, &golden[golden.len() - rendered.len()..]);
+    server.stop();
+}
+
+/// The reactor is a scheduling change, not a semantic one: for every
+/// probe — valid calls, faults, bad verbs, oversized frames, garbage —
+/// it returns the frame (status, reason, headers, body) the
+/// thread-per-connection server recorded in the golden file.
+#[test]
+fn blocking_and_reactor_answer_identically() {
+    let server = ReactorRpcServer::start(echo_host(), 2).unwrap();
+    let mut rendered = Vec::new();
+    for probe in corpus() {
+        let bytes = probe.to_bytes();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.write_all(&bytes).unwrap();
+        let response = read_one_response(&s);
+        assert_eq!(response.status, probe.status(), "{probe:?}");
+        record(
+            &mut rendered,
+            &format!("plain {}", probe.label()),
+            &bytes,
+            &response,
+        );
+    }
+    assert_matches_golden(&rendered, &golden()[..rendered.len()]);
+    server.stop();
 }
