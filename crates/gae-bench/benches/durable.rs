@@ -1,6 +1,8 @@
 //! Durability-layer benches (DESIGN.md §8): WAL append throughput
-//! under group-commit batching, recovery scan cost vs grid size, and
-//! the full `recover_from_disk` rebuild path.
+//! under group-commit batching, recovery scan cost vs grid size, the
+//! full `recover_from_disk` rebuild path, and one snapshot rotation
+//! (encode + leader write + two followers' installs) of a stack whose
+//! MonALISA rings hold about 100k samples.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gae_core::grid::{DriverMode, Grid, GridBuilder, ServiceStack};
@@ -8,6 +10,7 @@ use gae_core::persist::PersistenceConfig;
 use gae_core::steering::SteeringPolicy;
 use gae_durable::fault::unique_temp_dir;
 use gae_durable::DurableStore;
+use gae_repl::{MirrorMachine, ReplConfig, ReplicatedLog};
 use gae_types::{
     JobId, JobSpec, SimDuration, SimTime, SiteDescription, SiteId, TaskId, TaskSpec, UserId,
 };
@@ -130,5 +133,62 @@ fn recover_full(c: &mut Criterion) {
     std::fs::remove_dir_all(&template).ok();
 }
 
-criterion_group!(benches, wal_append, recover_scan, recover_full);
+/// One checkpoint that rotates: snapshot every persisted service
+/// (the metric rings dominate), write it as the leader's new
+/// generation, and install it on two attached followers. The store
+/// rotates at every checkpoint (cadence zero); the setup polls a
+/// 16-site grid until its rings hold about 100k samples.
+fn snapshot_rotate(c: &mut Criterion) {
+    let dir = unique_temp_dir("bench-rotate");
+    let config = PersistenceConfig::new(dir.join("leader"))
+        .snapshot_every(SimDuration::ZERO)
+        .fsync(false);
+    let stack = ServiceStack::over(grid_of(16, Some(&config)));
+    let cluster = ReplicatedLog::attached(
+        &dir.join("repl"),
+        ReplConfig {
+            followers: 2,
+            fsync: false,
+        },
+        |_| MirrorMachine::new(),
+    )
+    .expect("followers");
+    stack.attach_replication(cluster).expect("attach");
+    for j in 1..=16u64 {
+        let mut job = JobSpec::new(JobId::new(j), format!("job{j}"), UserId::new(1));
+        for k in 0..8u64 {
+            job.add_task(
+                TaskSpec::new(TaskId::new(j * 1000 + k), format!("t{j}-{k}"), "app")
+                    .with_cpu_demand(SimDuration::from_secs(60 + 45 * k)),
+            );
+        }
+        stack.submit_job(job).expect("submit");
+    }
+    let samples = |stack: &ServiceStack| -> usize {
+        let (series, _) = stack.grid.monitor().metrics_snapshot();
+        series.iter().map(|(_, s)| s.len()).sum()
+    };
+    let mut horizon = 0u64;
+    while samples(&stack) < 100_000 {
+        horizon += 500;
+        stack.run_until(SimTime::from_secs(horizon));
+    }
+    eprintln!(
+        "snapshot_rotate: {} metric samples after {horizon} virtual seconds",
+        samples(&stack)
+    );
+    c.bench_function("snapshot_rotate/100k_samples_2_followers", |b| {
+        b.iter(|| black_box(stack.checkpoint().expect("checkpoint")));
+    });
+    drop(stack);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+criterion_group!(
+    benches,
+    wal_append,
+    recover_scan,
+    recover_full,
+    snapshot_rotate
+);
 criterion_main!(benches);

@@ -1090,12 +1090,17 @@ impl ServiceStack {
         // The transfer scheduler reports its lifecycle through a
         // callback so gae-xfer never depends on the obs crate. Every
         // event carries its own instant (the observer runs under the
-        // xfer lock and must not read the grid clock).
+        // xfer lock and must not read the grid clock). The grid owns
+        // the callback and the hub's clock owns the grid, so the
+        // callback holds the hub weakly: a dropped stack frees both.
         {
-            let hub = obs.clone();
+            let hub = Arc::downgrade(&obs);
             grid.with_xfer(|x| {
                 x.set_observer(Box::new(move |ev| {
                     use gae_xfer::XferEvent;
+                    let Some(hub) = hub.upgrade() else {
+                        return;
+                    };
                     match ev {
                         XferEvent::Started {
                             id,
@@ -1171,10 +1176,14 @@ impl ServiceStack {
         self.steering.attach_persistence(persistence.clone());
         self.hist.attach_persistence(persistence.clone());
         {
-            let p = persistence.clone();
+            // Weak for the same reason as the xfer observer: the store
+            // reaches the grid through its replication sink's obs hub.
+            let p = Arc::downgrade(&persistence);
             self.grid.with_xfer(|x| {
                 x.set_journal(Box::new(move |op| {
-                    p.append("xfer", persist::xfer_to_record(op));
+                    if let Some(p) = p.upgrade() {
+                        p.append("xfer", persist::xfer_to_record(op));
+                    }
                 }));
             });
         }
@@ -1947,5 +1956,57 @@ mod tests {
         assert_eq!(m2, m1 + 1, "post-invalidation estimate must recompute");
         // The recomputed estimate now reflects the observed history.
         assert_ne!(first, third);
+    }
+
+    #[test]
+    fn dropping_a_persisted_replicated_stack_frees_the_grid() {
+        // Two closures the grid owns (the transfer scheduler's
+        // observer and journal) reach back to it through the obs hub's
+        // clock; they must hold the hub and the store weakly, or every
+        // dropped stack keeps its whole grid and snapshot alive.
+        let dir = gae_durable::fault::unique_temp_dir("stack-drop");
+        let network = gae_sim::NetworkModel::new(gae_sim::Link::new(1e7, SimDuration::ZERO));
+        let grid = GridBuilder::new()
+            .network(network)
+            .site(SiteDescription::new(SiteId::new(1), "dest", 2, 1))
+            .site(SiteDescription::new(SiteId::new(2), "src", 2, 1))
+            .persist(
+                PersistenceConfig::new(dir.join("leader"))
+                    .snapshot_every(SimDuration::from_secs(30))
+                    .fsync(false),
+            )
+            .build();
+        let weak = Arc::downgrade(&grid);
+        let stack = ServiceStack::over(grid);
+        let cluster = gae_repl::ReplicatedLog::attached(
+            &dir.join("repl"),
+            gae_repl::ReplConfig {
+                followers: 2,
+                fsync: false,
+            },
+            |_| gae_repl::MirrorMachine::new(),
+        )
+        .unwrap();
+        stack.attach_replication(cluster.clone()).unwrap();
+        let mut job = JobSpec::new(JobId::new(1), "staged", UserId::new(1));
+        job.add_task(
+            TaskSpec::new(TaskId::new(1), "t", "x")
+                .with_cpu_demand(SimDuration::from_secs(10))
+                .with_inputs(vec![gae_types::FileRef::new("in.root", 50_000_000)
+                    .with_replicas(vec![SiteId::new(2)])]),
+        );
+        stack.submit_job(job).unwrap();
+        stack.run_until(SimTime::from_secs(120));
+        assert!(stack.persistence().unwrap().generation() > 0, "rotated");
+        assert!(Arc::strong_count(&weak.upgrade().unwrap()) > 1);
+        drop(stack);
+        assert!(
+            weak.upgrade().is_none(),
+            "a dropped stack must free its grid"
+        );
+        // The followers outlive the stack and still hold its log.
+        use gae_repl::ReplicationSink as _;
+        assert!(cluster.stats().commit_index > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

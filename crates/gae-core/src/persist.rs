@@ -13,6 +13,16 @@
 //! Rust's shortest-roundtrip `f64` formatting makes the encoding
 //! bit-exact, which the crash-equivalence tests rely on.
 //!
+//! Two snapshot members are binary blocks inside that document, as
+//! `<base64>`: `hist`, the history store's `GAEHIST1` columns, and
+//! `metrics`, every MonALISA ring in [`gae_monitor::codec`]'s
+//! `GAEMETR1` layout (delta-coded instants, XOR-coded values). The
+//! rings are nearly all of a snapshot's volume: written as one XML
+//! struct per sample, they made a 100-job simulation's snapshot
+//! 68.7 MB instead of 3.3 MB and dominated every rotation. A snapshot
+//! whose `metrics` is the older XML array is refused with a typed
+//! [`GaeError::Parse`].
+//!
 //! Seven record kinds exist:
 //!
 //! | kind       | payload                            | written by            |
@@ -562,60 +572,6 @@ fn event_from_value(v: &Value) -> GaeResult<JobEvent> {
     })
 }
 
-fn series_to_value(series: &[(MetricKey, Vec<Sample>)]) -> Value {
-    Value::Array(
-        series
-            .iter()
-            .map(|(k, samples)| {
-                Value::struct_of([
-                    ("site", Value::from(k.site.raw())),
-                    ("entity", Value::from(&*k.entity)),
-                    ("param", Value::from(&*k.param)),
-                    (
-                        "samples",
-                        Value::Array(
-                            samples
-                                .iter()
-                                .map(|s| {
-                                    Value::struct_of([
-                                        ("at_us", Value::from(s.at.as_micros())),
-                                        ("value", Value::Double(s.value)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn series_from_value(v: &Value) -> GaeResult<Vec<(MetricKey, Vec<Sample>)>> {
-    v.as_array()?
-        .iter()
-        .map(|entry| {
-            let key = MetricKey::new(
-                SiteId::new(entry.member("site")?.as_u64()?),
-                entry.member("entity")?.as_str()?.to_string(),
-                entry.member("param")?.as_str()?.to_string(),
-            );
-            let samples = entry
-                .member("samples")?
-                .as_array()?
-                .iter()
-                .map(|s| {
-                    Ok(Sample {
-                        at: SimTime::from_micros(s.member("at_us")?.as_u64()?),
-                        value: s.member("value")?.as_f64()?,
-                    })
-                })
-                .collect::<GaeResult<Vec<_>>>()?;
-            Ok((key, samples))
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------- snapshot
 
 /// Decoded snapshot payload: full state of every persisted service.
@@ -623,6 +579,7 @@ fn series_from_value(v: &Value) -> GaeResult<Vec<(MetricKey, Vec<Sample>)>> {
 pub(crate) struct SnapshotState {
     pub events: Vec<JobEvent>,
     pub evicted: u64,
+    /// Every retained metric ring (one `GAEMETR1` block on disk).
     pub metrics: Vec<(MetricKey, Vec<Sample>)>,
     pub metrics_published: u64,
     pub jobmon: Vec<JobMonitoringInfo>,
@@ -674,7 +631,10 @@ pub(crate) fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
             Value::Array(state.events.iter().map(event_to_value).collect()),
         ),
         ("evicted", Value::from(state.evicted)),
-        ("metrics", series_to_value(&state.metrics)),
+        (
+            "metrics",
+            Value::Base64(gae_monitor::codec::encode(&state.metrics)),
+        ),
         ("metrics_published", Value::from(state.metrics_published)),
         (
             "jobmon",
@@ -725,7 +685,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> GaeResult<SnapshotState> {
             .map(event_from_value)
             .collect::<GaeResult<Vec<_>>>()?,
         evicted: v.member("evicted")?.as_u64()?,
-        metrics: series_from_value(v.member("metrics")?)?,
+        metrics: gae_monitor::codec::decode(v.member("metrics")?.as_bytes()?)?,
         metrics_published: v.member("metrics_published")?.as_u64()?,
         jobmon: v
             .member("jobmon")?
@@ -926,6 +886,78 @@ mod tests {
         assert!(!j.completion_notified);
         assert_eq!(decoded.xfer, state.xfer);
         assert_eq!(decoded.hist, state.hist);
+    }
+
+    #[test]
+    fn legacy_xml_metrics_array_is_a_typed_error() {
+        // Before the binary block, `metrics` was an XML array of
+        // `{site, entity, param, samples: [{at_us, value}]}` structs.
+        let state = SnapshotState {
+            hist: gae_hist::HistStore::new(gae_hist::HistConfig::default()).encode(),
+            ..SnapshotState::default()
+        };
+        let text = String::from_utf8(encode_snapshot(&state)).unwrap();
+        let Value::Struct(mut members) = parse_value_document(&text).unwrap() else {
+            panic!("snapshot is a struct");
+        };
+        let legacy_series = Value::struct_of([
+            ("site", Value::from(1u64)),
+            ("entity", Value::from("farm")),
+            ("param", Value::from("cpu_load")),
+            (
+                "samples",
+                Value::Array(vec![Value::struct_of([
+                    ("at_us", Value::from(5_000_000u64)),
+                    ("value", Value::Double(0.75)),
+                ])]),
+            ),
+        ]);
+        members.insert("metrics".to_string(), Value::Array(vec![legacy_series]));
+        let legacy = write_value_document(&Value::Struct(members.clone()));
+        match decode_snapshot(legacy.as_bytes()) {
+            Err(GaeError::Parse(msg)) => assert!(msg.contains("base64"), "{msg}"),
+            other => panic!("legacy snapshot must be refused, got {other:?}"),
+        }
+        // A binary block that is not GAEMETR1 is refused the same way.
+        members.insert("metrics".to_string(), Value::Base64(b"GAEHIST1".to_vec()));
+        let foreign = write_value_document(&Value::Struct(members));
+        assert!(matches!(
+            decode_snapshot(foreign.as_bytes()),
+            Err(GaeError::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn metrics_block_costs_at_most_eight_bytes_per_sample() {
+        use crate::grid::{GridBuilder, ServiceStack};
+        use gae_types::{JobSpec, SiteDescription, TaskSpec};
+        let mut builder = GridBuilder::new();
+        for i in 1..=4 {
+            builder = builder.site_with_load(
+                SiteDescription::new(SiteId::new(i), format!("s{i}"), 4, 2),
+                i as f64 * 0.5,
+            );
+        }
+        let stack = ServiceStack::over(builder.build());
+        let mut job = JobSpec::new(JobId::new(1), "load", UserId::new(1));
+        for t in 1..=24 {
+            job.add_task(
+                TaskSpec::new(TaskId::new(t), format!("t{t}"), "reco")
+                    .with_cpu_demand(SimDuration::from_secs(40 + 13 * t)),
+            );
+        }
+        stack.submit_job(job).unwrap();
+        // 300 polls at the default 5 s period.
+        stack.run_until(SimTime::from_secs(300 * 5));
+        let state = stack.snapshot_state();
+        let samples: usize = state.metrics.iter().map(|(_, s)| s.len()).sum();
+        let bytes = gae_monitor::codec::encode(&state.metrics).len();
+        assert!(samples > 10_000, "{samples} samples");
+        assert!(
+            bytes <= 8 * samples,
+            "{bytes} bytes for {samples} samples ({:.2} B/sample)",
+            bytes as f64 / samples as f64
+        );
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //!
 //! * [`store`] — bounded time-series storage (ring buffers per
 //!   metric) with range and aggregate queries;
+//! * [`codec`] — the compact binary encoding of those rings that
+//!   snapshots carry;
 //! * [`repository`] — the typed façade: site-load publication, job
 //!   state-change events, and subscriptions (push notification on
 //!   matching updates).
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod repository;
 pub mod store;
 
